@@ -189,7 +189,7 @@ def main():
     if not_run:
         print("layers not run by %s (reported as 0): %s" % (args.workload, ", ".join(not_run)))
     for k in sorted(serve["info"]):
-        if k.startswith("dispatch."):
+        if k.startswith("dispatch.") or k.startswith("goodput."):
             print("%-36s %s" % (k, serve["info"][k]))
     for f in flags:
         print("FLAG dispatch path mix differs: " + f)

@@ -8,18 +8,28 @@ namespace perfbench {
 
 namespace {
 
+// Basis of the load numbers. The nominal rates are round numbers at light
+// load: about 6 % (train_rbf) and 9 % (wire_heavy_mixed) of the goodput
+// measured on a 4-vCPU x86 virtual machine in a quiet period (~35K and ~32K
+// req/s), so latency at the nominal rate is set by batching and the wire,
+// not by saturation; on the same machine in a busy period goodput fell to
+// ~7K req/s, which is still more than twice either rate. The traffic mixes
+// and the reload period are arbitrary choices: no caller of the repository
+// and no measured traffic supplies them. The 50 ms latency limit is where
+// latency turns steeply upward on that machine.
 std::vector<workload_def> make_workloads() {
     std::vector<workload_def> defs;
 
     // The paper's hot path: one CG solve over the implicit Q~ product. The
-    // trained model is served in-process through the engine's async submit,
-    // without the net plane, the second model or reloads.
+    // trained model is then served alone over loopback binary frames, with
+    // neither a second model nor reloads: the light serving case, where
+    // per-request overhead dominates.
     workload_def train;
     train.name = "train_rbf";
     train.train_points = 2048;
     train.features = 64;
     train.test_points = 1024;
-    train.path = serve_path::engine;
+    train.setup_is_parse = true;
     train.mix = { { "binary", false, 0.5 }, { "binary", true, 0.5 } };
     train.nominal_rate = 2000.0;
     train.latency_limit_s = 50e-3;
@@ -44,7 +54,7 @@ std::vector<workload_def> make_workloads() {
     heavy.nominal_rate = 3000.0;
     heavy.latency_limit_s = 50e-3;
     heavy.ladder_lowest = 3000.0;
-    heavy.ladder_rungs = 112;
+    heavy.ladder_rungs = 96;
     heavy.reload_interval_s = 0.25;
     heavy.accuracy_floor = 0.85;
     heavy.mc_accuracy_floor = 0.6;

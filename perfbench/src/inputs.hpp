@@ -19,11 +19,6 @@
 
 namespace perfbench {
 
-enum class serve_path {
-    engine,   ///< in-process `inference_engine::submit` (no net)
-    wire,     ///< loopback binary frames into `net_server` + `model_registry`
-};
-
 /// Share of the request stream sent to one model under one class.
 struct traffic_share {
     std::string model;   ///< "binary" or "mc4"
@@ -46,7 +41,9 @@ struct workload_def {
     std::size_t completion_threads{ 2 };
     std::size_t connections{ 4 };
     // --- load -------------------------------------------------------------------
-    serve_path path{ serve_path::wire };
+    /// setup_s is parsing the training file (the paper's pipeline); otherwise
+    /// reading the models and serving the first reply over the wire
+    bool setup_is_parse{ false };
     std::vector<traffic_share> mix;
     double nominal_rate{ 0.0 };      ///< req/s of the latency segments
     double latency_limit_s{ 0.0 };   ///< p99 limit of the goodput ladder

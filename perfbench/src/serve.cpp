@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -60,6 +61,11 @@ constexpr double inf = std::numeric_limits<double>::infinity();
 /// A binary reply may take either label when the reference decision value is
 /// this close to zero (host paths differ in the last bits).
 constexpr double tie_tolerance = 1e-9;
+/// Independent goodput ladder searches per run; goodput is their median.
+constexpr std::size_t goodput_searches = 3;
+/// Largest median share of a traced wire request's latency that may lie
+/// outside the server's stamps.
+constexpr double max_wire_residual_share = 0.5;
 
 double seconds_since(const clock_type::time_point t0) {
     return std::chrono::duration<double>(clock_type::now() - t0).count();
@@ -313,21 +319,33 @@ class wire_sink final : public request_sink {
     std::thread reader_;
 };
 
-/// In-process `submit` into the same engines; two waiter threads settle the
-/// futures in FIFO order, like the net server's completion workers.
+/**
+ * @brief In-process `submit` into the same engines.
+ *
+ * Each request stream (model and class) has its own FIFO of futures and one
+ * waiter thread that settles them as they become ready. A stream's requests
+ * complete in about the order they were submitted (its batches are sealed
+ * in order), so a ready future does not wait behind a slower one of another
+ * class or model, and each answer is stamped when it is ready.
+ */
 class engine_sink final : public request_sink {
   public:
-    engine_sink(wire_system &sys, const test_inputs &t, const std::size_t waiters) :
+    engine_sink(wire_system &sys, const test_inputs &t, const workload_def &w) :
         sys_{ sys },
-        tests_{ t },
-        num_waiters_{ waiters } {}
+        tests_{ t } {
+        for (const traffic_share &share : w.mix) {
+            streams_[stream_of(share.model == "mc4" ? target::mc4 : target::binary, share.batch_class)].used = true;
+        }
+    }
 
     void begin(segment_record &record) override {
         record_ = &record;
         reset_answered();
-        stop_ = false;
-        for (std::size_t k = 0; k < num_waiters_; ++k) {
-            waiters_.emplace_back([this]() { wait_loop(); });
+        for (stream &st : streams_) {
+            st.stop = false;
+            if (st.used) {
+                st.waiter = std::thread{ [this, &st]() { wait_loop(st); } };
+            }
         }
     }
 
@@ -336,45 +354,63 @@ class engine_sink final : public request_sink {
         const aos_matrix<double> &points = tests_.points(r.model);
         std::vector<double> point(points.row_data(r.row), points.row_data(r.row) + points.num_cols());
         const sv::request_options options{ r.batch_class ? sv::request_class::batch : sv::request_class::interactive, {} };
+        stream &st = streams_[stream_of(r.model, r.batch_class)];
         try {
             std::future<double> f = r.model == target::mc4 ? sys_.mc->submit(std::move(point), options)
                                                            : sys_.binary->submit(std::move(point), options);
-            const std::lock_guard lock{ mutex_ };
-            queue_.emplace_back(i, std::move(f));
+            const std::lock_guard lock{ st.mutex };
+            st.queue.emplace_back(i, std::move(f));
         } catch (const std::exception &) {
             settle(*record_, i, 0.0, false);  // shed at admission
             return;
         }
-        cv_.notify_one();
+        st.cv.notify_one();
     }
 
     void end(const clock_type::time_point deadline) override {
-        {
-            const std::lock_guard lock{ mutex_ };
-            deadline_ = deadline;
-            stop_ = true;
+        for (stream &st : streams_) {
+            {
+                const std::lock_guard lock{ st.mutex };
+                st.deadline = deadline;
+                st.stop = true;
+            }
+            st.cv.notify_all();
         }
-        cv_.notify_all();
-        for (std::thread &t : waiters_) {
-            t.join();
+        for (stream &st : streams_) {
+            if (st.waiter.joinable()) {
+                st.waiter.join();
+            }
         }
-        waiters_.clear();
     }
 
   private:
-    void wait_loop() {
+    struct stream {
+        bool used{ false };
+        std::mutex mutex;
+        std::condition_variable cv;
+        std::deque<std::pair<std::size_t, std::future<double>>> queue;  ///< guarded by mutex
+        bool stop{ false };                                              ///< guarded by mutex
+        clock_type::time_point deadline{};                               ///< guarded by mutex
+        std::thread waiter;
+    };
+
+    [[nodiscard]] static std::size_t stream_of(const target model, const bool batch_class) {
+        return 2 * static_cast<std::size_t>(model) + (batch_class ? 1 : 0);
+    }
+
+    void wait_loop(stream &st) {
         while (true) {
             std::pair<std::size_t, std::future<double>> item;
             clock_type::time_point deadline;
             {
-                std::unique_lock lock{ mutex_ };
-                cv_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
-                if (queue_.empty()) {
+                std::unique_lock lock{ st.mutex };
+                st.cv.wait(lock, [&st]() { return st.stop || !st.queue.empty(); });
+                if (st.queue.empty()) {
                     return;
                 }
-                item = std::move(queue_.front());
-                queue_.pop_front();
-                deadline = stop_ ? deadline_ : clock_type::time_point::max();
+                item = std::move(st.queue.front());
+                st.queue.pop_front();
+                deadline = st.stop ? st.deadline : clock_type::time_point::max();
             }
             if (item.second.wait_until(deadline) != std::future_status::ready) {
                 continue;  // lost: never settled before the drain deadline
@@ -389,14 +425,8 @@ class engine_sink final : public request_sink {
 
     wire_system &sys_;
     const test_inputs &tests_;
-    std::size_t num_waiters_;
     segment_record *record_{ nullptr };
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<std::pair<std::size_t, std::future<double>>> queue_;  ///< guarded by mutex_
-    bool stop_{ false };                                              ///< guarded by mutex_
-    clock_type::time_point deadline_{};                               ///< guarded by mutex_
-    std::vector<std::thread> waiters_;
+    std::array<stream, 4> streams_;
 };
 
 // ---------------------------------------------------------------------------
@@ -404,8 +434,8 @@ class engine_sink final : public request_sink {
 // ---------------------------------------------------------------------------
 
 struct segment_eval {
-    std::vector<timed_sample> interactive;  ///< latency from the due time, inf = miss
-    std::vector<timed_sample> batch;
+    std::vector<double> interactive;  ///< latency from the due time, inf = miss
+    std::vector<double> batch;
     std::vector<double> lag;
     std::size_t attempted{ 0 };
     std::size_t failed{ 0 };    ///< failed, shed, lost or wrong
@@ -439,18 +469,12 @@ segment_eval evaluate(const segment_record &rec, const test_inputs &t, const dou
             (r.model == target::mc4 ? e.mc_true : e.binary_true) += truth;
         }
         e.failed += latency == inf;
-        (r.batch_class ? e.batch : e.interactive).push_back(timed_sample{ r.due_s, latency });
+        (r.batch_class ? e.batch : e.interactive).push_back(latency);
     }
     // Little's law: with every answer within the limit, at most rate * limit
     // requests are in flight; twice that (plus slack) means a growing queue
     e.backlog_growing = static_cast<double>(rec.in_flight_at_end) > 2.0 * rate * limit_s + 16.0;
     return e;
-}
-
-/// Window length giving each window enough samples of a class (1100 at
-/// @p share of @p rate) for its p99, and at least a quarter second.
-double window_seconds(const double rate, const double share) {
-    return std::max(0.25, 1100.0 / (rate * share));
 }
 
 /// Share of the traffic mix in the batch (or interactive) class.
@@ -462,18 +486,17 @@ double class_share(const workload_def &w, const bool batch) {
     return share;
 }
 
-/// Report the windowed q-quantile in ms with its sample count.
-void report_ms(phase_report &report, const std::string &name, const std::vector<timed_sample> &samples, const double window_s, const double q) {
-    const std::vector<std::vector<double>> windows = windows_of(samples, window_s);
-    const std::optional<double> v = windowed_quantile(windows, q);
+/// The pooled q-quantile of @p samples, NaN unless the sample-count rule
+/// allows it.
+double pooled(const std::vector<double> &samples, const double q) {
+    return reported_quantile(samples, q).value_or(std::numeric_limits<double>::quiet_NaN());
+}
+
+/// Report the pooled q-quantile in ms with its sample count (not reported
+/// when fewer than 10 samples lie beyond it).
+void report_ms(phase_report &report, const std::string &name, const std::vector<double> &samples, const double q) {
     report.info(name + ".n", static_cast<double>(samples.size()));
-    report.info(name + ".window_s", window_s);
-    std::string per_window;
-    for (const std::vector<double> &w : windows) {
-        per_window += std::to_string(quantile(w, q) * 1e3) + " ";
-    }
-    report.info(name + ".windows", per_window);
-    if (v.has_value()) {
+    if (const std::optional<double> v = reported_quantile(samples, q)) {
         report.value(name, *v * 1e3);
     }
 }
@@ -591,7 +614,7 @@ void report_profile(phase_report &report, const sv::inference_engine<double> &en
 
 void run_setup(const phase_options &opt, phase_report &report) {
     const workload_def &w = *opt.workload;
-    if (w.path == serve_path::engine) {
+    if (w.setup_is_parse) {
         // the paper's pipeline is ready once the training file is a data_set
         const auto t0 = clock_type::now();
         const data_set<double> train = data_set<double>::from_libsvm_file(files::train);
@@ -652,21 +675,13 @@ void run_serve(const phase_options &opt, phase_report &report) {
     const std::vector<double> ladder = rate_ladder(w.ladder_lowest, w.ladder_step, w.ladder_rungs);
     const std::size_t expected_probes = static_cast<std::size_t>(std::ceil(std::log2(static_cast<double>(w.ladder_rungs) + 1.0)));
     // a failing rung is probed twice, so budget for half again the probes
-    const double probe_seconds = ladder_seconds / (1.5 * static_cast<double>(expected_probes));
+    const double probe_seconds = ladder_seconds / (1.5 * static_cast<double>(expected_probes * goodput_searches));
     const double drain_s = std::max(1.0, 50.0 * w.latency_limit_s);
     std::uint64_t schedule_seed = opt.seed * 1000003ULL;
 
     const auto sys = std::make_unique<wire_system>(w, models, opt.trace, true);
     report_profile(report, *sys->binary, "pinned by the benchmark");
-    std::unique_ptr<request_sink> sink;
-    wire_sink *wire = nullptr;
-    if (w.path == serve_path::wire) {
-        auto ws = std::make_unique<wire_sink>(sys->server->port(), w.connections, tests);
-        wire = ws.get();
-        sink = std::move(ws);
-    } else {
-        sink = std::make_unique<engine_sink>(*sys, tests, w.completion_threads);
-    }
+    wire_sink wire{ sys->server->port(), w.connections, tests };
     std::unique_ptr<reloader> reloads;
     if (w.reload_interval_s > 0.0) {
         reloads = std::make_unique<reloader>(sys->registry, models.binary, w.reload_interval_s);
@@ -675,19 +690,17 @@ void run_serve(const phase_options &opt, phase_report &report) {
     const auto segment_on = [&](request_sink &to, const double rate, const double seconds, const std::uint64_t seed) {
         return run_segment(to, make_schedule(w, rate, seconds, seed, rows), drain_s);
     };
-    const auto segment = [&](const double rate, const double seconds) { return segment_on(*sink, rate, seconds, ++schedule_seed); };
+    const auto segment = [&](const double rate, const double seconds) { return segment_on(wire, rate, seconds, ++schedule_seed); };
 
     // warm-up: caches, lazily created lanes, the batch tuner
     (void) segment(w.nominal_rate, 0.3);
 
     // --- latency at the nominal rate: one continuous segment ------------------
-    const double interactive_window = window_seconds(w.nominal_rate, class_share(w, false));
-    const double batch_window = window_seconds(w.nominal_rate, class_share(w, true));
     const std::uint64_t nominal_seed = ++schedule_seed;
-    const segment_eval nominal = evaluate(segment_on(*sink, w.nominal_rate, nominal_seconds, nominal_seed), tests, w.nominal_rate, w.latency_limit_s);
-    report_ms(report, "p50_ms", nominal.interactive, interactive_window, 0.5);
-    report_ms(report, "p99_ms", nominal.interactive, interactive_window, 0.99);
-    report_ms(report, "batch_p99_ms", nominal.batch, batch_window, 0.99);
+    const segment_eval nominal = evaluate(segment_on(wire, w.nominal_rate, nominal_seconds, nominal_seed), tests, w.nominal_rate, w.latency_limit_s);
+    report_ms(report, "p50_ms", nominal.interactive, 0.5);
+    report_ms(report, "p99_ms", nominal.interactive, 0.99);
+    report_ms(report, "batch_p99_ms", nominal.batch, 0.99);
     const double lag_p99 = quantile(nominal.lag, 0.99);
     report.value("bench.gen_lag_p99_ms", lag_p99 * 1e3);
     // a generator later than the latency limit itself did not offer the
@@ -727,33 +740,50 @@ void run_serve(const phase_options &opt, phase_report &report) {
         report.info("dispatch.binary_device_share", static_cast<double>(st.device_batches) / batches);
     }
 
-
     // --- goodput: highest ladder rate whose p99 meets the limit ---------------
-    std::string probes;
-    const goodput_result goodput = goodput_search(ladder, w.latency_limit_s, [&](const double rate) {
-        const double window = window_seconds(rate, class_share(w, false));
-        const segment_eval e = evaluate(segment(rate, std::max(probe_seconds, 5.0 * window)), tests, rate, w.latency_limit_s);
-        // the limit applies to interactive latency; a failed request of
-        // either class is a miss
-        std::vector<timed_sample> samples = e.interactive;
-        for (const timed_sample &b : e.batch) {
-            if (b.latency_s == inf) {
-                samples.push_back(b);
-            }
+    // (end-to-end only: the traced run skips it, so its per-layer counters
+    // cover the nominal and traced segments alone)
+    if (!opt.trace) {
+        // the median of independent searches, each with its own schedules
+        std::string probes;
+        std::vector<goodput_result> searches;
+        for (std::size_t k = 0; k < goodput_searches; ++k) {
+            searches.push_back(goodput_search(ladder, w.latency_limit_s, [&](const double rate) {
+                // at least 1500 interactive samples, so the probe's p99 is reportable
+                const double seconds = std::max(probe_seconds, 1500.0 / (rate * class_share(w, false)));
+                const segment_eval e = evaluate(segment(rate, seconds), tests, rate, w.latency_limit_s);
+                // the limit applies to interactive latency; a failed request of
+                // either class is a miss
+                probe_outcome out;
+                out.latencies = e.interactive;
+                for (const double b : e.batch) {
+                    if (b == inf) {
+                        out.latencies.push_back(b);
+                    }
+                }
+                out.backlog_growing = e.backlog_growing;
+                const std::optional<double> p99 = reported_quantile(out.latencies, 0.99);
+                probes += std::to_string(static_cast<long>(rate)) + ":" + (p99.has_value() ? std::to_string(*p99 * 1e3) : std::string{ "n/a" })
+                          + (out.backlog_growing ? ":backlog " : " ");
+                return out;
+            }));
+            probes += "| ";
         }
-        probe_outcome out;
-        out.windows = windows_of(samples, window);
-        out.backlog_growing = e.backlog_growing;
-        const std::optional<double> p99 = windowed_quantile(out.windows, 0.99);
-        probes += std::to_string(static_cast<long>(rate)) + ":" + (p99.has_value() ? std::to_string(*p99 * 1e3) : std::string{ "n/a" })
-                  + (out.backlog_growing ? ":backlog " : " ");
-        return out;
-    });
-    report.info("goodput.probe_p99_ms", probes);
-    report.value("goodput_rps", goodput.found ? goodput.rate : 0.0);
-    report.info("goodput.probes", static_cast<double>(goodput.probes));
-    report.info("goodput.ladder_top", goodput.found && goodput.index + 1 == ladder.size() ? 1.0 : 0.0);
-    report.check(goodput.found, "no ladder rate met the latency limit");
+        std::string rates;
+        std::size_t probe_count = 0;
+        bool found = false;
+        for (const goodput_result &r : searches) {
+            rates += std::to_string(r.rate) + " ";
+            probe_count += r.probes;
+            found = found || r.found;
+        }
+        report.info("goodput.probe_p99_ms", probes);
+        report.info("goodput.search_rates", rates);
+        report.value("goodput_rps", median_goodput(searches));
+        report.info("goodput_rps.n", static_cast<double>(searches.size()));
+        report.info("goodput.probes", static_cast<double>(probe_count));
+        report.check(found, "no ladder rate met the latency limit");
+    }
 
     // reloads run beside every segment, traced ones included
     const auto finish_reloads = [&]() {
@@ -777,19 +807,19 @@ void run_serve(const phase_options &opt, phase_report &report) {
     // ======================= traced run: per-layer metrics ====================
     report.value("io.model_read_s", model_read_s);
     // traced segments replay the start of the nominal schedule
-    const double traced_seconds = nominal_seconds / 2.0;
+    const double traced_seconds = nominal_seconds / 4.0;
     span_recorder spans;
     const auto span_ns = [&](const clock_type::time_point tp) {
         return spans.now_ns() - std::chrono::duration_cast<std::chrono::nanoseconds>(clock_type::now() - tp).count();
     };
-    std::vector<timed_sample> traced_interactive;
+    std::vector<double> traced_interactive;
     std::vector<double> residual_share;
     std::map<std::string, std::vector<double>> stage_us;
 
-    if (wire != nullptr) {
-        // wire path: every request carries a trace id, so the engine retains
-        // its wire-to-wire trace; joined with the client stamps by id
-        wire->trace_ids = true;
+    {
+        // every request carries a trace id, so the engine retains its
+        // wire-to-wire trace; joined with the client stamps by id
+        wire.trace_ids = true;
         const sv::obs::flight_recorder &recorder = sys->binary->recorder();
         const auto probe = clock_type::now();
         const clock_type::time_point recorder_epoch = probe - std::chrono::nanoseconds{ recorder.to_ns(probe) };
@@ -797,9 +827,9 @@ void run_serve(const phase_options &opt, phase_report &report) {
         std::size_t joined = 0;
         std::size_t broken = 0;
         {
-            const segment_record rec = segment_on(*sink, w.nominal_rate, traced_seconds, nominal_seed);
+            const segment_record rec = segment_on(wire, w.nominal_rate, traced_seconds, nominal_seed);
             traced_interactive = evaluate(rec, tests, w.nominal_rate, w.latency_limit_s).interactive;
-            const std::uint64_t base = wire->id_base();
+            const std::uint64_t base = wire.id_base();
             for (const sv::request_class cls : { sv::request_class::interactive, sv::request_class::batch }) {
                 for (const sv::obs::request_trace &t : recorder.traces(cls)) {
                     if (t.id < base || t.id - base >= rec.schedule.size() || t.t_net_accepted_ns == 0) {
@@ -848,12 +878,12 @@ void run_serve(const phase_options &opt, phase_report &report) {
         }
 
         // in-process replay of the same schedules: the engine without the wire
-        engine_sink inproc{ *sys, tests, w.completion_threads };
+        engine_sink inproc{ *sys, tests, w };
         const segment_eval in = evaluate(segment_on(inproc, w.nominal_rate, traced_seconds, nominal_seed), tests, w.nominal_rate, w.latency_limit_s);
-        const double in_p50 = windowed_quantile(windows_of(in.interactive, interactive_window), 0.5).value_or(NAN);
-        const double in_p99 = windowed_quantile(windows_of(in.interactive, interactive_window), 0.99).value_or(NAN);
-        const double wire_p50 = windowed_quantile(windows_of(nominal.interactive, interactive_window), 0.5).value_or(NAN);
-        const double wire_p99 = windowed_quantile(windows_of(nominal.interactive, interactive_window), 0.99).value_or(NAN);
+        const double in_p50 = pooled(in.interactive, 0.5);
+        const double in_p99 = pooled(in.interactive, 0.99);
+        const double wire_p50 = pooled(nominal.interactive, 0.5);
+        const double wire_p99 = pooled(nominal.interactive, 0.99);
         report.value("engine.inproc_p50_ms", in_p50 * 1e3);
         report.value("engine.inproc_p99_ms", in_p99 * 1e3);
         report.value("net.added_p50_ms", (wire_p50 - in_p50) * 1e3);
@@ -861,10 +891,6 @@ void run_serve(const phase_options &opt, phase_report &report) {
         report.check(in.failed == 0, std::to_string(in.failed) + " in-process replay requests failed or were wrong");
         const svn::net_counters nc = sys->server->counters();
         report.value("net.bytes_per_req", static_cast<double>(nc.bytes_in + nc.bytes_out) / static_cast<double>(std::max<std::uint64_t>(1, nc.requests_total)));
-    } else {
-        // the nominal segment already is the in-process submit path
-        report.value("engine.inproc_p50_ms", windowed_quantile(windows_of(nominal.interactive, interactive_window), 0.5).value_or(NAN) * 1e3);
-        report.value("engine.inproc_p99_ms", windowed_quantile(windows_of(nominal.interactive, interactive_window), 0.99).value_or(NAN) * 1e3);
     }
 
     {
@@ -956,11 +982,17 @@ void run_serve(const phase_options &opt, phase_report &report) {
     }
 
     // tracing overhead and the layer sum
-    const double untraced_p50 = windowed_quantile(windows_of(nominal.interactive, interactive_window), 0.5).value_or(NAN);
-    const double traced_p50 = windowed_quantile(windows_of(traced_interactive, interactive_window), 0.5).value_or(NAN);
+    const double untraced_p50 = pooled(nominal.interactive, 0.5);
+    const double traced_p50 = pooled(traced_interactive, 0.5);
     report.value("bench.serve_trace_overhead_frac", traced_p50 / untraced_p50 - 1.0);
+    // wire latency = net stages + engine + residual, the residual being the
+    // client-side transit outside the server's stamps (socket buffers, the
+    // reader thread's wake-up); a large residual means the stamps no longer
+    // explain the latency
     const double residual = median(residual_share);
     report.value("bench.serve_layer_residual_frac", residual);
+    report.check(residual <= max_wire_residual_share,
+                 "median share of the wire latency outside the server's stamps is " + std::to_string(residual));
     spans.write_jsonl("spans_serve.jsonl");
     const std::map<std::string, double> self = self_seconds_by_name(spans.spans());
     for (const auto &[name, sec] : self) {

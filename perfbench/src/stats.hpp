@@ -64,45 +64,6 @@ inline constexpr std::size_t min_beyond = 10;
     return n % 2 == 1 ? s[n / 2] : 0.5 * (s[n / 2 - 1] + s[n / 2]);
 }
 
-/// A latency sample and the time (relative to its segment start) its request
-/// was due, so a segment can be cut into time windows.
-struct timed_sample {
-    double due_s{ 0.0 };
-    double latency_s{ 0.0 };
-};
-
-/// The latencies of @p samples cut into consecutive windows of @p window_s
-/// seconds of due time (the last partial window joins its predecessor).
-[[nodiscard]] inline std::vector<std::vector<double>> windows_of(const std::vector<timed_sample> &samples, const double window_s) {
-    double end = 0.0;
-    for (const timed_sample &s : samples) {
-        end = std::max(end, s.due_s);
-    }
-    const std::size_t count = std::max<std::size_t>(1, static_cast<std::size_t>(end / window_s));
-    std::vector<std::vector<double>> windows(count);
-    for (const timed_sample &s : samples) {
-        windows[std::min(count - 1, static_cast<std::size_t>(s.due_s / window_s))].push_back(s.latency_s);
-    }
-    return windows;
-}
-
-/// Robust q-quantile of a run: the median over time windows of each window's
-/// q-quantile, so one stall of the host moves one window, not the result.
-/// Windows whose sample count does not support q are skipped; nullopt if
-/// none does.
-[[nodiscard]] inline std::optional<double> windowed_quantile(const std::vector<std::vector<double>> &windows, const double q) {
-    std::vector<double> per_window;
-    for (const std::vector<double> &w : windows) {
-        if (const std::optional<double> v = reported_quantile(w, q)) {
-            per_window.push_back(*v);
-        }
-    }
-    if (per_window.empty()) {
-        return std::nullopt;
-    }
-    return median(per_window);
-}
-
 /// Fixed geometric rate ladder: @p lowest * (1 + step)^k for k = 0 .. count-1.
 [[nodiscard]] inline std::vector<double> rate_ladder(const double lowest, const double step, const std::size_t count) {
     std::vector<double> rates(count);
@@ -114,20 +75,21 @@ struct timed_sample {
 
 /// Outcome of one ladder probe at a fixed offered rate.
 struct probe_outcome {
-    /// Latency of every attempted request in seconds, by time window; failed,
+    /// Latency of every attempted request of the probe in seconds; failed,
     /// shed, lost or wrong answers are +infinity (they miss any limit).
-    std::vector<std::vector<double>> windows;
+    std::vector<double> latencies;
     /// The backlog kept growing (or the generator could not offer the rate).
     bool backlog_growing{ false };
 };
 
-/// A probe passes when its windowed p99 is reportable and within
-/// @p limit_seconds and its backlog did not grow.
+/// A probe passes when its pooled p99 is reportable and within
+/// @p limit_seconds and its backlog did not grow. Failures sort last, so a
+/// probe with more than 1 % failed requests never passes.
 [[nodiscard]] inline bool probe_passes(const probe_outcome &outcome, const double limit_seconds) {
     if (outcome.backlog_growing) {
         return false;
     }
-    const std::optional<double> p99 = windowed_quantile(outcome.windows, 0.99);
+    const std::optional<double> p99 = reported_quantile(outcome.latencies, 0.99);
     return p99.has_value() && *p99 <= limit_seconds;
 }
 
@@ -168,6 +130,22 @@ struct goodput_result {
         }
     }
     return result;
+}
+
+/**
+ * @brief Median rate of several independent searches of the same ladder.
+ *
+ * One search is a chain of pass/fail decisions, and one wrong decision near
+ * its top (a probe during a stall of the host, twice) moves it by several
+ * rungs; the median of independent searches is steady against that.
+ * Searches that found no passing rung count as rate 0.
+ */
+[[nodiscard]] inline double median_goodput(const std::vector<goodput_result> &searches) {
+    std::vector<double> rates;
+    for (const goodput_result &r : searches) {
+        rates.push_back(r.found ? r.rate : 0.0);
+    }
+    return median(rates);
 }
 
 }  // namespace perfbench

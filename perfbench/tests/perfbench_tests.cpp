@@ -65,11 +65,9 @@ TEST(Median, EvenAndOdd) {
 
 probe_outcome synthetic_probe(const double rate, const double capacity, const std::size_t failures_per_probe) {
     probe_outcome out;
-    out.windows.assign(3, std::vector<double>(2000, rate < capacity ? 1e-3 : 5e-3));
-    for (std::vector<double> &w : out.windows) {
-        for (std::size_t i = 0; i < failures_per_probe; ++i) {
-            w[i] = inf;
-        }
+    out.latencies.assign(2000, rate < capacity ? 1e-3 : 5e-3);
+    for (std::size_t i = 0; i < failures_per_probe; ++i) {
+        out.latencies[i] = inf;
     }
     return out;
 }
@@ -112,26 +110,24 @@ TEST(Goodput, FailuresCountAsMisses) {
     EXPECT_EQ(some.index, ladder.size() - 1);
 }
 
-TEST(Goodput, OneStalledWindowDoesNotFailAProbe) {
+TEST(Goodput, PooledTailFailsAProbe) {
+    // fast everywhere except 1.5 % of the probe's requests (one stall of a
+    // stretch of the probe): the pooled p99 sees them
     probe_outcome out = synthetic_probe(1.0, 2.0, 0);
-    std::fill(out.windows[1].begin(), out.windows[1].end(), 0.1);
-    EXPECT_TRUE(probe_passes(out, 2e-3));
-    std::fill(out.windows[2].begin(), out.windows[2].end(), inf);
+    std::fill(out.latencies.begin() + 1000, out.latencies.begin() + 1030, 0.1);
     EXPECT_FALSE(probe_passes(out, 2e-3));
+    std::fill(out.latencies.begin() + 1015, out.latencies.begin() + 1030, 1e-3);
+    EXPECT_TRUE(probe_passes(out, 2e-3));
+    EXPECT_FALSE(probe_passes(probe_outcome{ std::vector<double>(500, 1e-3), false }, 2e-3));  // p99 not reportable
 }
 
-TEST(Percentile, WindowedQuantileIsMedianOfSupportedWindows) {
-    std::vector<timed_sample> samples;
-    for (std::size_t i = 0; i < 3000; ++i) {
-        // window 0 fast, window 1 slow, window 2 fast; 1000 samples each
-        const double due = static_cast<double>(i) / 1000.0;
-        samples.push_back({ due, i / 1000 == 1 ? 5.0 : 1.0 });
-    }
-    samples.push_back({ 3.0, 1.0 });  // the end of the last window
-    const std::vector<std::vector<double>> windows = windows_of(samples, 1.0);
-    ASSERT_EQ(windows.size(), 3U);
-    EXPECT_EQ(windowed_quantile(windows, 0.99).value(), 1.0);
-    EXPECT_FALSE(windowed_quantile({ std::vector<double>(50, 1.0) }, 0.99).has_value());
+TEST(Goodput, MedianOfSearches) {
+    const goodput_result a{ 1000.0, 3, true, 6 };
+    const goodput_result b{ 1200.0, 5, true, 7 };
+    const goodput_result none{};
+    EXPECT_EQ(median_goodput({ a, b, none }), 1000.0);
+    EXPECT_EQ(median_goodput({ b, a, b }), 1200.0);
+    EXPECT_EQ(median_goodput({ none, none, a }), 0.0);  // a search without a passing rung counts as 0
 }
 
 TEST(Goodput, GrowingBacklogFails) {
