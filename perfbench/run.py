@@ -149,14 +149,6 @@ def main():
     values.update(serve["values"])
     values["setup_s"] = median_of(setups, "setup_s")
     values["peak_rss_mb"] = max(p["values"]["peak_rss_mb"] for p in phases)
-    # the serving side's tracing overhead and layer residual where it was
-    # traced (the wire), the training side's otherwise
-    for name in ("trace_overhead_frac", "layer_residual_frac"):
-        for prefix in ("serve", "train"):
-            v = values.get("bench.%s_%s" % (prefix, name))
-            if v is not None:
-                values["bench." + name] = v
-                break
 
     errors = [e for p in phases for e in p["errors"]]
     flags = flag_path_mix(args.workload, serve)

@@ -984,13 +984,13 @@ void run_serve(const phase_options &opt, phase_report &report) {
     // tracing overhead and the layer sum
     const double untraced_p50 = pooled(nominal.interactive, 0.5);
     const double traced_p50 = pooled(traced_interactive, 0.5);
-    report.value("bench.serve_trace_overhead_frac", traced_p50 / untraced_p50 - 1.0);
+    report.value("bench.trace_overhead_frac", traced_p50 / untraced_p50 - 1.0);
     // wire latency = net stages + engine + residual, the residual being the
     // client-side transit outside the server's stamps (socket buffers, the
     // reader thread's wake-up); a large residual means the stamps no longer
     // explain the latency
     const double residual = median(residual_share);
-    report.value("bench.serve_layer_residual_frac", residual);
+    report.value("bench.layer_residual_frac", residual);
     report.check(residual <= max_wire_residual_share,
                  "median share of the wire latency outside the server's stamps is " + std::to_string(residual));
     spans.write_jsonl("spans_serve.jsonl");

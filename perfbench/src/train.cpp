@@ -113,47 +113,95 @@ double rel_l2(const std::vector<double> &a, const std::vector<double> &b) {
     return a.size() != b.size() ? INFINITY : std::sqrt(num / std::max(den, 1e-300));
 }
 
-/// Traced run: the fit rebuilt from its layers' public functions, each call
-/// wrapped in a span, then checked against `fit`'s model.
-/// @param untraced_parse_s, untraced_fit_s medians of plain, untraced parses
-///        of the training file and plain `csvm::fit` calls
-void traced_composition(const workload_def &w, const model<double> &reference_model, const double untraced_parse_s,
-                        const double untraced_fit_s, const std::vector<std::size_t> &untraced_iterations, phase_report &report) {
+/// One fit rebuilt from its layers' public functions, each call wrapped in
+/// a span: parse, q_operator set-up, CG over a timing wrapper of the
+/// operator, then bias and model assembly.
+struct composed_fit {
     span_recorder spans;
+    std::size_t fit_span{ 0 };
+    model<double> composed;
+    std::size_t apply_calls{ 0 };
+    double apply_s{ 0.0 };
+    std::vector<double> residuals;  ///< relative residual of every CG iteration
+    std::size_t cg_iterations{ 0 };  ///< as the CG result reports them
+    double layer_sum_s{ 0.0 };       ///< parse + q setup + sum(apply) + CG self + fit other
+
+    [[nodiscard]] double total(const std::string &name) const {
+        double sum = 0.0;
+        for (const span &s : spans.spans()) {
+            sum += s.name == name ? s.seconds() : 0.0;
+        }
+        return sum;
+    }
+};
+
+composed_fit compose_fit() {
+    composed_fit c;
+    span_recorder &spans = c.spans;
     const std::size_t root = spans.open("train.total");
     const std::size_t parse_span = spans.open("io.parse", root);
     const data_set<double> train = data_set<double>::from_libsvm_file(files::train);
     spans.close(parse_span);
 
-    const std::size_t fit_span = spans.open("core.fit", root);
+    c.fit_span = spans.open("core.fit", root);
     const plssvm::parameter params = rbf_params();
     const std::vector<double> &labels = train.binary_labels();
     const plssvm::kernel_params<double> kp{ params.kernel, params.degree,
                                             static_cast<double>(params.effective_gamma(train.num_features())),
                                             static_cast<double>(params.coef0) };
     const std::vector<double> rhs = plssvm::reduced_rhs(labels);
-    const std::size_t setup_span = spans.open("openmp.q_setup", fit_span);
+    const std::size_t setup_span = spans.open("openmp.q_setup", c.fit_span);
     plssvm::backend::openmp::q_operator<double> op{ train.points(), kp, static_cast<double>(params.cost) };
     spans.close(setup_span);
-    const std::size_t cg_span = spans.open("solver.cg", fit_span);
+    const std::size_t cg_span = spans.open("solver.cg", c.fit_span);
     timed_operator timed{ op, spans, cg_span };
     std::vector<double> alpha_tilde(op.size(), 0.0);
     // the observer sees every iteration's relative residual
-    std::vector<double> residuals;
-    const plssvm::solver::cg_result cg = plssvm::solver::conjugate_gradients(
-        timed, rhs, alpha_tilde, plssvm::solver_control{}, [&](std::size_t, const double rr) { residuals.push_back(rr); });
-    const double final_residual = residuals.empty() ? 1.0 : residuals.back();
+    c.cg_iterations = plssvm::solver::conjugate_gradients(
+                          timed, rhs, alpha_tilde, plssvm::solver_control{}, [&](std::size_t, const double rr) { c.residuals.push_back(rr); })
+                          .iterations;
     spans.close(cg_span);
     const double bias = plssvm::recover_bias(alpha_tilde, op.q(), op.q_mm(), labels.back());
     std::vector<double> alpha = plssvm::expand_alpha(std::move(alpha_tilde));
-    const model<double> composed{ params, train.points(), std::move(alpha), -bias,
-                                  train.distinct_labels()[0], train.distinct_labels()[1] };
-    spans.close(fit_span);
+    c.composed = model<double>{ params, train.points(), std::move(alpha), -bias, train.distinct_labels()[0], train.distinct_labels()[1] };
+    spans.close(c.fit_span);
     spans.close(root);
+    c.apply_calls = timed.calls();
+    c.apply_s = timed.seconds();
+    const std::map<std::string, double> self = self_seconds_by_name(spans.spans());
+    c.layer_sum_s = self.at("io.parse") + self.at("openmp.q_setup") + self.at("openmp.q_apply") + self.at("solver.cg") + self.at("core.fit");
+    return c;
+}
 
-    const std::size_t write_span = spans.open("io.model_write");
+/// Traced run: three composed fits, each right after an untraced parse +
+/// `csvm::fit` of the same file; the composition with the median layer sum
+/// gives the per-layer numbers and is checked against `fit`'s model.
+void traced_composition(const workload_def &w, std::vector<std::size_t> iterations, phase_report &report) {
+    std::vector<composed_fit> fits;
+    std::vector<double> layer_vs_untraced;
+    std::vector<double> overhead;
+    model<double> reference_model;
+    for (int r = 0; r < 3; ++r) {
+        const auto t0 = steady::now();
+        const data_set<double> train = data_set<double>::from_libsvm_file(files::train);
+        const double parse_s = seconds_since(t0);
+        plssvm::backend::openmp::csvm<double> svm{ rbf_params() };
+        const auto t1 = steady::now();
+        reference_model = svm.fit(train);
+        const double fit_s = seconds_since(t1);
+        iterations.push_back(reference_model.num_iterations());
+        fits.push_back(compose_fit());
+        layer_vs_untraced.push_back(fits.back().layer_sum_s / (parse_s + fit_s) - 1.0);
+        overhead.push_back(fits.back().spans.spans()[fits.back().fit_span - 1].seconds() / fit_s - 1.0);
+    }
+    std::vector<std::size_t> order{ 0, 1, 2 };
+    std::sort(order.begin(), order.end(), [&](const std::size_t a, const std::size_t b) { return fits[a].layer_sum_s < fits[b].layer_sum_s; });
+    const composed_fit &c = fits[order[1]];
+    const model<double> &composed = c.composed;
+
+    const std::size_t write_span = fits[order[1]].spans.open("io.model_write");
     composed.save("composed.model");
-    spans.close(write_span);
+    fits[order[1]].spans.close(write_span);
 
     // --- correctness: the composition reproduces fit's model -----------------
     const data_set<double> test = data_set<double>::from_libsvm_file(files::test);
@@ -174,20 +222,19 @@ void traced_composition(const workload_def &w, const model<double> &reference_mo
     report.info("composition.alpha_rel_l2", alpha_diff);
 
     // --- per-layer numbers from the spans --------------------------------------
-    const std::map<std::string, double> self = self_seconds_by_name(spans.spans());
-    const auto total = [&](const std::string &name) {
-        double sum = 0.0;
-        for (const span &s : spans.spans()) {
-            sum += s.name == name ? s.seconds() : 0.0;
-        }
-        return sum;
-    };
-    const double parse_s = total("io.parse");
+    const std::map<std::string, double> self = self_seconds_by_name(c.spans.spans());
+    const double parse_s = c.total("io.parse");
     const double train_bytes = static_cast<double>(std::filesystem::file_size(files::train));
     report.value("io.parse_s", parse_s);
     report.value("io.parse_mb_s", train_bytes / 1e6 / parse_s);
-    report.value("io.model_write_s", total("io.model_write"));
+    report.value("io.model_write_s", c.total("io.model_write"));
 
+    const data_set<double> train = data_set<double>::from_libsvm_file(files::train);
+    const plssvm::parameter params = rbf_params();
+    const plssvm::kernel_params<double> kp{ params.kernel, params.degree,
+                                            static_cast<double>(params.effective_gamma(train.num_features())),
+                                            static_cast<double>(params.coef0) };
+    plssvm::backend::openmp::q_operator<double> op{ train.points(), kp, static_cast<double>(params.cost) };
     const double n = static_cast<double>(op.size());
     const double d = static_cast<double>(train.num_features());
     // operations the implicit product computes per apply (RBF: 3 flops per
@@ -195,15 +242,14 @@ void traced_composition(const workload_def &w, const model<double> &reference_mo
     // the compulsory bytes it must read (the point matrix and three vectors)
     const double flops_per_apply = n * n * (3.0 * d + 2.0) + 8.0 * n;
     const double bytes_per_apply = 8.0 * ((n + 1.0) * d + 4.0 * n);
-    const double apply_s = timed.seconds();
-    const double gflops = flops_per_apply * static_cast<double>(timed.calls()) / apply_s * 1e-9;
+    const double gflops = flops_per_apply * static_cast<double>(c.apply_calls) / c.apply_s * 1e-9;
     const plssvm::sim::host_profile host = plssvm::serve::measure_host_profile();
     const double peak_gflops = host.effective_gflops * static_cast<double>(w.omp_threads);
     const double flop_per_byte = flops_per_apply / bytes_per_apply;
     const double roofline_gflops = std::min(peak_gflops, host.effective_bandwidth_gbs * flop_per_byte);
-    report.value("openmp.q_setup_s", total("openmp.q_setup"));
-    report.value("openmp.q_apply_calls", static_cast<double>(timed.calls()));
-    report.value("openmp.q_apply_s", apply_s);
+    report.value("openmp.q_setup_s", c.total("openmp.q_setup"));
+    report.value("openmp.q_apply_calls", static_cast<double>(c.apply_calls));
+    report.value("openmp.q_apply_s", c.apply_s);
     report.value("openmp.q_apply_gflops", gflops);
     report.value("openmp.q_flop_per_byte", flop_per_byte);
     report.value("openmp.q_apply_roofline_frac", gflops / roofline_gflops);
@@ -228,35 +274,29 @@ void traced_composition(const workload_def &w, const model<double> &reference_mo
     const double all_threads_s = time_applies(w.omp_threads);
     report.value("openmp.q_apply_speedup", one_thread_s / all_threads_s);
 
-    std::vector<double> iterations(untraced_iterations.begin(), untraced_iterations.end());
-    iterations.push_back(static_cast<double>(residuals.size()));
-    report.check(residuals.size() == cg.iterations, "the CG observer saw a different iteration count than the result reports");
-    report.value("solver.cg_iterations", static_cast<double>(residuals.size()));
-    report.value("solver.cg_iterations_min", *std::min_element(iterations.begin(), iterations.end()));
-    report.value("solver.cg_iterations_max", *std::max_element(iterations.begin(), iterations.end()));
+    const double final_residual = c.residuals.empty() ? 1.0 : c.residuals.back();
+    for (const composed_fit &f : fits) {
+        iterations.push_back(f.residuals.size());
+        report.check(f.residuals.size() == f.cg_iterations, "the CG observer saw a different iteration count than the result reports");
+    }
+    report.value("solver.cg_iterations", static_cast<double>(c.residuals.size()));
+    report.value("solver.cg_iterations_min", static_cast<double>(*std::min_element(iterations.begin(), iterations.end())));
+    report.value("solver.cg_iterations_max", static_cast<double>(*std::max_element(iterations.begin(), iterations.end())));
     report.value("solver.cg_self_s", self.at("solver.cg"));
     report.value("solver.final_rel_residual", final_residual);
     report.value("solver.decades_per_iter",
-                 residuals.empty() ? 0.0 : -std::log10(std::max(final_residual, 1e-300)) / static_cast<double>(residuals.size()));
+                 c.residuals.empty() ? 0.0 : -std::log10(std::max(final_residual, 1e-300)) / static_cast<double>(c.residuals.size()));
     report.value("core.fit_other_s", self.at("core.fit"));
 
-    // layers add up: parse + q setup + sum(apply) + CG self + fit other
-    // against the untraced parse + fit, measured separately just before
-    const double layer_sum = self.at("io.parse") + self.at("openmp.q_setup") + self.at("openmp.q_apply")
-                             + self.at("solver.cg") + self.at("core.fit");
-    const double untraced_s = untraced_parse_s + untraced_fit_s;
-    const double residual = std::abs(layer_sum - untraced_s) / untraced_s;
-    // the two are timed seconds apart on a shared host, whose speed moves by
-    // a few percent between consecutive fits
-    constexpr double layer_sum_tolerance = 0.15;
+    // layers add up: the median over the three pairs of the layer sum against
+    // the untraced parse + fit timed just before it; consecutive fits on a
+    // shared host differ by 10 % and more, so one pair alone is no check
+    const double residual = std::abs(median(layer_vs_untraced));
+    constexpr double layer_sum_tolerance = 0.25;
     report.check(residual <= layer_sum_tolerance, "train layer sum differs from the untraced parse + fit by " + std::to_string(residual));
     report.value("bench.train_layer_residual_frac", residual);
-    report.info("bench.train_layer_sum_s", layer_sum);
-    report.info("bench.train_untraced_s", untraced_s);
-    // tracing overhead: the traced composition against an untraced fit
-    const double traced_fit_s = spans.spans()[fit_span - 1].seconds();
-    report.value("bench.train_trace_overhead_frac", traced_fit_s / untraced_fit_s - 1.0);
-    spans.write_jsonl("spans_train.jsonl");
+    report.value("bench.train_trace_overhead_frac", median(overhead));
+    c.spans.write_jsonl("spans_train.jsonl");
 }
 
 }  // namespace
@@ -295,24 +335,7 @@ void run_train(const phase_options &opt, phase_report &report) {
     report.count(samples.size(), 0);
 
     if (opt.trace) {
-        // untraced parses and fits (without the write): the layer sum's and
-        // the overhead's reference, and fit's model
-        std::vector<double> parse_samples;
-        for (int r = 0; r < 3; ++r) {
-            const auto t0 = steady::now();
-            (void) data_set<double>::from_libsvm_file(files::train);
-            parse_samples.push_back(seconds_since(t0));
-        }
-        std::vector<double> fit_samples;
-        model<double> reference;
-        for (int r = 0; r < 3; ++r) {
-            plssvm::backend::openmp::csvm<double> svm{ rbf_params() };
-            const auto t0 = steady::now();
-            reference = svm.fit(train);
-            fit_samples.push_back(seconds_since(t0));
-            iterations.push_back(reference.num_iterations());
-        }
-        traced_composition(w, reference, median(parse_samples), median(fit_samples), iterations, report);
+        traced_composition(w, iterations, report);
     }
 }
 
